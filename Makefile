@@ -3,7 +3,8 @@
 #   make check       — everything CI runs
 #   make race        — race-check the concurrent packages (service, core,
 #                      webdb, engine's columnar worker pool, similarity's
-#                      chunked pair sweep)
+#                      chunked pair sweep, probe's parallel spanning
+#                      queries, learn's parallel pipeline)
 #   make bench-serve — serving-path benchmarks (cache hit vs miss)
 #   make bench-learn — offline learn-phase scenarios only (probe→mine→order
 #                      →supertuple at 1x/2x/4x sample sizes, plus the
@@ -39,9 +40,11 @@ test:
 # the columnar chunk worker pool (and its randomized differential suite);
 # similarity chunks the VSim pair sweep across goroutines. tane shards
 # lattice levels across workers (with its own differential oracle suite),
-# and partition's scratch reuse backs that sharding.
+# and partition's scratch reuse backs that sharding. probe issues spanning
+# queries concurrently, and learn's Workers path runs those concurrent
+# probes together with the sharded mine and supertuple build.
 race:
-	$(GO) test -race ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/...
+	$(GO) test -race ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/... ./internal/learn/... ./internal/probe/...
 
 bench-serve:
 	$(GO) test -run XXX -bench 'BenchmarkService_' -benchmem ./internal/service/

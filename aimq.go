@@ -3,16 +3,14 @@ package aimq
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 
 	"aimq/internal/afd"
 	"aimq/internal/core"
-	"aimq/internal/probe"
+	"aimq/internal/learn"
 	"aimq/internal/relation"
 	"aimq/internal/similarity"
 	"aimq/internal/supertuple"
-	"aimq/internal/tane"
 	"aimq/internal/webdb"
 	"aimq/internal/workload"
 )
@@ -67,7 +65,7 @@ func Connect(baseURL string, client *http.Client, opts ...Option) (*DB, error) {
 
 // OpenSource creates a session over any webdb.Source implementation —
 // custom transports, middlewares like webdb.ProbeCounter, or the
-// fault-injecting webdb.Flaky used in resilience tests.
+// fault-injecting webdb.Chaos used in resilience tests.
 func OpenSource(src webdb.Source, opts ...Option) *DB {
 	return newDB(src, opts...)
 }
@@ -86,60 +84,21 @@ func (db *DB) Schema() *relation.Schema { return db.src.Schema() }
 // Source returns the underlying source (useful for probe accounting).
 func (db *DB) Source() webdb.Source { return db.src }
 
-// Learn runs AIMQ's offline phase: it probes the source for a sample (or
-// uses the one supplied via WithSample), mines approximate functional
-// dependencies and keys with TANE, derives the attribute relaxation order
-// and importance weights (Algorithm 2), and estimates categorical value
-// similarities from supertuples.
+// Learn runs AIMQ's offline phase (internal/learn): it probes the source
+// for a sample (or uses the one supplied via WithSample), mines approximate
+// functional dependencies and keys with TANE, derives the attribute
+// relaxation order and importance weights (Algorithm 2), and estimates
+// categorical value similarities from supertuples.
 func (db *DB) Learn() error {
-	sample := db.cfg.sample
-	if sample == nil {
-		rng := rand.New(rand.NewSource(db.cfg.seed))
-		collector := probe.New(db.src, rng)
-		collector.Parallelism = db.cfg.probeWorkers
-		pivot := db.cfg.pivot
-		if pivot == "" {
-			p, err := db.pickPivot()
-			if err != nil {
-				return err
-			}
-			pivot = p
-		}
-		probed, err := collector.Collect(pivot)
-		if err != nil {
-			return fmt.Errorf("aimq: probing failed: %w", err)
-		}
-		if db.cfg.sampleSize > 0 && probed.Size() > db.cfg.sampleSize {
-			probed = probed.Sample(db.cfg.sampleSize, rng)
-		}
-		sample = probed
-	}
-	db.probed = sample
-
-	mined := tane.Miner{Terr: db.cfg.terr, MaxLHS: db.cfg.maxLHS}.Mine(sample)
-	ord, err := afd.Order(mined)
+	res, err := learn.Run(db.src, db.cfg.learn)
 	if err != nil {
-		return fmt.Errorf("aimq: %w (raise Terr with WithErrorThreshold or supply a larger sample)", err)
+		return fmt.Errorf("aimq: %w", err)
 	}
-	db.ord = ord
-	db.idx = supertuple.Builder{Buckets: db.cfg.buckets}.Build(sample)
-	db.est = similarity.New(db.idx, ord, similarity.Config{MinSim: db.cfg.minSim})
+	db.probed = res.Sample
+	db.ord = res.Ord
+	db.idx = res.Index
+	db.est = res.Est
 	return nil
-}
-
-// pickPivot selects a probing pivot: the lowest-cardinality attribute that
-// still shows at least two values in a seed probe.
-func (db *DB) pickPivot() (string, error) {
-	infos, err := probe.PivotCoverage(db.src, 2000)
-	if err != nil {
-		return "", fmt.Errorf("aimq: pivot discovery failed: %w", err)
-	}
-	for _, info := range infos {
-		if info.DistinctInSeed >= 2 {
-			return info.Attr, nil
-		}
-	}
-	return "", errors.New("aimq: no usable probing pivot (source empty?)")
 }
 
 // Learned reports whether Learn has completed.

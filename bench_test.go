@@ -19,6 +19,7 @@ import (
 	"aimq/internal/afd"
 	"aimq/internal/core"
 	"aimq/internal/experiments"
+	"aimq/internal/learn"
 	"aimq/internal/probe"
 	"aimq/internal/query"
 	"aimq/internal/relation"
@@ -48,7 +49,7 @@ func BenchmarkTable2_AIMQOffline(b *testing.B) {
 	sample := l.CarSample(l.P.StudySample)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.BuildPipeline(sample, l.P.Terr, l.P.MaxLHS); err != nil {
+		if _, err := learn.Run(nil, learn.Config{Sample: sample, Terr: l.P.Terr, MaxLHS: l.P.MaxLHS}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -84,7 +84,7 @@ func main() {
 	sampleSize := flag.Int("sample", 0, "cap the learning sample (0 = all)")
 	terr := flag.Float64("terr", 0.15, "TANE error threshold for learning")
 	seed := flag.Int64("seed", 1, "probing/sampling seed")
-	probeWorkers := flag.Int("probe-workers", 1, "concurrent spanning probes and supertuple-build goroutines while learning")
+	probeWorkers := flag.Int("probe-workers", 1, "concurrent spanning probes, TANE level shards and supertuple-build goroutines while learning")
 	legacyEngine := flag.Bool("legacy-engine", false, "serve a local -data relation through the legacy row-at-a-time engine instead of the columnar bitmap engine")
 	prune := flag.Bool("prune", true, "skip relaxation queries whose Sim upper bound is already below tsim")
 	keyPruneErr := flag.Float64("key-prune-max-error", 0, "also skip relaxation queries that keep the mined best key bound, when the key's g3 error is at or below this (0 = exact keys only)")
@@ -273,13 +273,16 @@ func run(c config, logger *slog.Logger) error {
 			"breaker_failures", c.breakerFailures, "breaker_open", c.breakerOpen)
 	}
 
-	start := time.Now()
-	m, err := service.LoadOrBuildModel(c.model, src, service.LearnConfig{
+	// One learn config for the startup build and every lifecycle re-learn,
+	// so the two can never drift apart.
+	lc := service.LearnConfig{
 		Seed:       c.seed,
 		SampleSize: c.sampleSize,
 		Terr:       c.terr,
 		Workers:    c.probeWorkers,
-	})
+	}
+	start := time.Now()
+	m, err := service.LoadOrBuildModel(c.model, src, lc)
 	if err != nil {
 		return err
 	}
@@ -392,12 +395,6 @@ func run(c config, logger *slog.Logger) error {
 	// the background, shadow-validate it, persist it with generation keeping
 	// and hot-swap it in — never disturbing in-flight answers.
 	if c.refreshInterval > 0 || (mon != nil && c.refreshOnBreach) {
-		lc := service.LearnConfig{
-			Seed:       c.seed,
-			SampleSize: c.sampleSize,
-			Terr:       c.terr,
-			Workers:    c.probeWorkers,
-		}
 		ctl := lifecycle.New(svc, src,
 			func() (*service.Model, error) { return service.BuildModel(src, lc) },
 			lifecycle.Config{

@@ -17,7 +17,7 @@ import (
 	"aimq/internal/audit"
 	"aimq/internal/core"
 	"aimq/internal/datagen"
-	"aimq/internal/experiments"
+	"aimq/internal/learn"
 	"aimq/internal/lifecycle"
 	"aimq/internal/query"
 	"aimq/internal/relation"
@@ -78,8 +78,7 @@ type Env struct {
 	car    *datagen.CarDB
 	bigCar *datagen.CarDB
 	census *datagen.CensusDB
-	sample *relation.Relation
-	pipe   *experiments.Pipeline
+	pipe   *learn.Result
 }
 
 // NewEnv creates a fixture cache for one benchmark run.
@@ -115,7 +114,7 @@ func (e *Env) censusDB() *datagen.CensusDB {
 // carPipeline returns the mined offline stack over a CarDB sample (quick:
 // 1.5k tuples, full: 5k), built once and shared by the answering and
 // serving scenarios.
-func (e *Env) carPipeline() (*experiments.Pipeline, *datagen.CarDB, error) {
+func (e *Env) carPipeline() (*learn.Result, *datagen.CarDB, error) {
 	car := e.carDB()
 	e.mu.Lock()
 	if e.pipe != nil {
@@ -127,12 +126,11 @@ func (e *Env) carPipeline() (*experiments.Pipeline, *datagen.CarDB, error) {
 
 	rng := rand.New(rand.NewSource(e.o.Seed + 17))
 	sample := car.Rel.Sample(e.o.scale(1_500, 5_000), rng)
-	pipe, err := experiments.BuildPipeline(sample, 0.15, 3)
+	pipe, err := learn.Run(nil, learn.Config{Sample: sample, MaxLHS: 3})
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: car pipeline: %w", err)
 	}
 	e.mu.Lock()
-	e.sample = sample
 	e.pipe = pipe
 	e.mu.Unlock()
 	return pipe, car, nil
@@ -315,7 +313,7 @@ func runAnswerer(strategy string) func(Options, *Env) (Result, error) {
 		iters := o.scale(8, 30)
 		params := map[string]float64{
 			"db_tuples":    float64(car.Rel.Size()),
-			"model_sample": float64(pipe.Rel.Size()),
+			"model_sample": float64(pipe.Sample.Size()),
 			"query_pool":   float64(len(pool)),
 			"tsim":         0.5,
 			"k":            10,
@@ -339,7 +337,7 @@ func runRock(o Options, env *Env) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	clustering, err := rock.Cluster(pipe.Rel, rock.Config{
+	clustering, err := rock.Cluster(pipe.Sample, rock.Config{
 		Theta:      0.5,
 		SampleSize: o.scale(400, 2_000),
 		Seed:       o.Seed + 63,
@@ -371,11 +369,9 @@ func runRock(o Options, env *Env) (Result, error) {
 // path in a way CarDB's 7 attributes cannot.
 func runCensus(o Options, env *Env) (Result, error) {
 	db := env.censusDB()
-	rng := rand.New(rand.NewSource(o.Seed + 7))
-	train := db.Rel.Sample(o.scale(1_000, 3_000), rng)
-	pipe, err := experiments.BuildPipeline(train, 0.08, 2)
+	pipe, err := censusPipeline(o, db)
 	if err != nil {
-		return Result{}, fmt.Errorf("bench: census pipeline: %w", err)
+		return Result{}, err
 	}
 	src := webdb.NewLocal(db.Rel)
 	relaxer := &core.Guided{Ord: pipe.Ord}
@@ -393,7 +389,7 @@ func runCensus(o Options, env *Env) (Result, error) {
 	cfg.KeyPruneMaxError = 0.05
 	params := map[string]float64{
 		"db_tuples":    float64(db.Rel.Size()),
-		"model_sample": float64(train.Size()),
+		"model_sample": float64(pipe.Sample.Size()),
 		"arity":        float64(db.Rel.Schema().Arity()),
 		"tsim":         cfg.Tsim,
 	}
@@ -406,6 +402,18 @@ func runCensus(o Options, env *Env) (Result, error) {
 		addAnswerWork(m, res)
 		return nil
 	})
+}
+
+// censusPipeline mines the census model over a seeded training sample
+// (quick: 1k tuples, full: 3k) with the paper's tighter census threshold.
+func censusPipeline(o Options, db *datagen.CensusDB) (*learn.Result, error) {
+	rng := rand.New(rand.NewSource(o.Seed + 7))
+	train := db.Rel.Sample(o.scale(1_000, 3_000), rng)
+	pipe, err := learn.Run(nil, learn.Config{Sample: train, Terr: 0.08, MaxLHS: 2})
+	if err != nil {
+		return nil, fmt.Errorf("bench: census pipeline: %w", err)
+	}
+	return pipe, nil
 }
 
 // addAnswerWork folds one core.Result into the measurement's quality

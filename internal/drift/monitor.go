@@ -2,7 +2,6 @@ package drift
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -155,19 +154,11 @@ func (m *Monitor) sampleAndCompare() (*Report, error) {
 	if pivot == "" {
 		// Baseline predates pivot tracking: rediscover one, the way the
 		// learn phase does.
-		infos, err := probe.PivotCoverage(m.src, 2000)
+		p, err := probe.PickPivot(m.src)
 		if err != nil {
 			return nil, err
 		}
-		for _, info := range infos {
-			if info.DistinctInSeed >= 2 {
-				pivot = info.Attr
-				break
-			}
-		}
-		if pivot == "" {
-			return nil, errors.New("drift: no usable probing pivot")
-		}
+		pivot = p
 	}
 	m.mu.Lock()
 	rng := rand.New(rand.NewSource(m.rng.Int63()))

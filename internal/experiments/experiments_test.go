@@ -318,8 +318,8 @@ func TestPipelineTimingsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.MiningTime <= 0 || p.SuperTupleTime <= 0 || p.SimilarityTime < 0 {
-		t.Errorf("timings not recorded: %v %v %v", p.MiningTime, p.SuperTupleTime, p.SimilarityTime)
+	if p.Stage("mine") <= 0 || p.Stage("supertuple") <= 0 || p.Stage("simest") < 0 {
+		t.Errorf("timings not recorded: %v", p.Stats.Stages)
 	}
 	if p.Mined == nil || p.Ord == nil || p.Index == nil || p.Est == nil {
 		t.Errorf("pipeline has nil components")
@@ -333,16 +333,16 @@ func TestPipelineTimingsRecorded(t *testing.T) {
 
 func TestCensusPipelineCached(t *testing.T) {
 	l := lab(t)
-	p1, train1, err := l.CensusPipeline()
+	p1, err := l.CensusPipeline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, train2, err := l.CensusPipeline()
-	if err != nil || p1 != p2 || train1 != train2 {
+	p2, err := l.CensusPipeline()
+	if err != nil || p1 != p2 {
 		t.Errorf("census pipeline not cached: %v", err)
 	}
-	if train1.Size() != l.P.CensusTrain {
-		t.Errorf("training sample size = %d", train1.Size())
+	if p1.Sample.Size() != l.P.CensusTrain {
+		t.Errorf("training sample size = %d", p1.Sample.Size())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"aimq/internal/core"
+	"aimq/internal/learn"
 	"aimq/internal/metrics"
 	"aimq/internal/query"
 	"aimq/internal/relation"
@@ -47,7 +48,7 @@ func RunFig7(l *Lab) (*EfficiencyResult, error) {
 	return runEfficiency(l, pipe, relaxer)
 }
 
-func runEfficiency(l *Lab, pipe *Pipeline, relaxer core.Relaxer) (*EfficiencyResult, error) {
+func runEfficiency(l *Lab, pipe *learn.Result, relaxer core.Relaxer) (*EfficiencyResult, error) {
 	car := l.Car()
 	src := webdb.NewLocal(car.Rel)
 	out := &EfficiencyResult{Strategy: relaxer.Name(), Thresholds: l.P.EffThresholds}

@@ -29,7 +29,7 @@ type Fig9Result struct {
 // RunFig9 runs the census classification experiment.
 func RunFig9(l *Lab) (*Fig9Result, error) {
 	census := l.Census()
-	pipe, train, err := l.CensusPipeline()
+	pipe, err := l.CensusPipeline()
 	if err != nil {
 		return nil, err
 	}
@@ -40,8 +40,8 @@ func RunFig9(l *Lab) (*Fig9Result, error) {
 	for i, t := range census.Rel.Tuples() {
 		classOf[&t[0]] = census.Class[i]
 	}
-	inTrain := make(map[*relation.Value]bool, train.Size())
-	for _, t := range train.Tuples() {
+	inTrain := make(map[*relation.Value]bool, pipe.Sample.Size())
+	for _, t := range pipe.Sample.Tuples() {
 		inTrain[&t[0]] = true
 	}
 

@@ -11,14 +11,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
-	"aimq/internal/afd"
 	"aimq/internal/datagen"
+	"aimq/internal/learn"
 	"aimq/internal/relation"
-	"aimq/internal/similarity"
-	"aimq/internal/supertuple"
-	"aimq/internal/tane"
 )
 
 // Params controls experiment scale. Full() matches the paper's setup;
@@ -106,42 +102,10 @@ func Quick() Params {
 	return p
 }
 
-// Pipeline is the mined offline stack over one sample: dependencies,
-// ordering, supertuples and the similarity estimator, with the offline
-// timings Table 2 reports.
-type Pipeline struct {
-	Rel   *relation.Relation
-	Mined *tane.Result
-	Ord   *afd.Ordering
-	Index *supertuple.Index
-	Est   *similarity.Estimator
-
-	MiningTime     time.Duration
-	SuperTupleTime time.Duration
-	SimilarityTime time.Duration
-}
-
-// BuildPipeline mines a relation sample into a full AIMQ offline stack.
-func BuildPipeline(rel *relation.Relation, terr float64, maxLHS int) (*Pipeline, error) {
-	p := &Pipeline{Rel: rel}
-	start := time.Now()
-	p.Mined = tane.Miner{Terr: terr, MaxLHS: maxLHS}.Mine(rel)
-	p.MiningTime = time.Since(start)
-
-	ord, err := afd.Order(p.Mined)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	p.Ord = ord
-
-	start = time.Now()
-	p.Index = supertuple.Builder{Buckets: 10}.Build(rel)
-	p.SuperTupleTime = time.Since(start)
-
-	start = time.Now()
-	p.Est = similarity.New(p.Index, ord, similarity.Config{})
-	p.SimilarityTime = time.Since(start)
-	return p, nil
+// mine learns the offline stack over a relation sample; Table 2 reads its
+// supertuple and simest stage timings.
+func mine(rel *relation.Relation, terr float64, maxLHS int) (*learn.Result, error) {
+	return learn.Run(nil, learn.Config{Sample: rel, Terr: terr, MaxLHS: maxLHS})
 }
 
 // Lab lazily builds and caches the shared datasets and pipelines.
@@ -152,7 +116,7 @@ type Lab struct {
 	car       *datagen.CarDB
 	census    *datagen.CensusDB
 	carSample map[int]*relation.Relation
-	pipelines map[string]*Pipeline
+	pipelines map[string]*learn.Result
 }
 
 // NewLab creates a lab for the given parameters.
@@ -160,7 +124,7 @@ func NewLab(p Params) *Lab {
 	return &Lab{
 		P:         p,
 		carSample: make(map[int]*relation.Relation),
-		pipelines: make(map[string]*Pipeline),
+		pipelines: make(map[string]*learn.Result),
 	}
 }
 
@@ -201,7 +165,7 @@ func (l *Lab) CarSample(n int) *relation.Relation {
 
 // CarPipeline returns the mined stack over a CarDB sample of size n
 // (cached).
-func (l *Lab) CarPipeline(n int) (*Pipeline, error) {
+func (l *Lab) CarPipeline(n int) (*learn.Result, error) {
 	sample := l.CarSample(n)
 	key := fmt.Sprintf("car-%d", n)
 	l.mu.Lock()
@@ -210,7 +174,7 @@ func (l *Lab) CarPipeline(n int) (*Pipeline, error) {
 		return p, nil
 	}
 	l.mu.Unlock()
-	p, err := BuildPipeline(sample, l.P.Terr, l.P.MaxLHS)
+	p, err := mine(sample, l.P.Terr, l.P.MaxLHS)
 	if err != nil {
 		return nil, fmt.Errorf("car pipeline (n=%d): %w", n, err)
 	}
@@ -221,28 +185,27 @@ func (l *Lab) CarPipeline(n int) (*Pipeline, error) {
 }
 
 // CensusPipeline returns the mined stack over the census training sample
-// (cached). The training sample is the first CensusTrain tuples of a seeded
-// shuffle; the remainder serves as held-out queries.
-func (l *Lab) CensusPipeline() (*Pipeline, *relation.Relation, error) {
+// (cached); its Sample is the training sample. The training sample is the
+// first CensusTrain tuples of a seeded shuffle; the remainder serves as
+// held-out queries.
+func (l *Lab) CensusPipeline() (*learn.Result, error) {
 	db := l.Census()
 	key := "census-train"
 	l.mu.Lock()
 	if p, ok := l.pipelines[key]; ok {
-		train := l.carSample[-1] // stashed training sample
 		l.mu.Unlock()
-		return p, train, nil
+		return p, nil
 	}
 	l.mu.Unlock()
 
 	rng := rand.New(rand.NewSource(l.P.Seed + 7))
 	train := db.Rel.Sample(l.P.CensusTrain, rng)
-	p, err := BuildPipeline(train, l.P.CensusTerr, l.P.CensusLHS)
+	p, err := mine(train, l.P.CensusTerr, l.P.CensusLHS)
 	if err != nil {
-		return nil, nil, fmt.Errorf("census pipeline: %w", err)
+		return nil, fmt.Errorf("census pipeline: %w", err)
 	}
 	l.mu.Lock()
 	l.pipelines[key] = p
-	l.carSample[-1] = train
 	l.mu.Unlock()
-	return p, train, nil
+	return p, nil
 }

@@ -36,8 +36,8 @@ func RunTable2(l *Lab) (*Table2Result, error) {
 		return nil, err
 	}
 	out.CarN = carN
-	out.CarAIMQSuperTuple = carPipe.SuperTupleTime
-	out.CarAIMQSimilarity = carPipe.SimilarityTime
+	out.CarAIMQSuperTuple = carPipe.Stage("supertuple")
+	out.CarAIMQSimilarity = carPipe.Stage("simest")
 
 	// ROCK offline on the same CarDB sample.
 	out.RockSampleCar = l.P.RockSample
@@ -51,13 +51,13 @@ func RunTable2(l *Lab) (*Table2Result, error) {
 
 	// AIMQ offline on the full CensusDB.
 	census := l.Census()
-	censusPipe, err := BuildPipeline(census.Rel, l.P.CensusTerr, l.P.CensusLHS)
+	censusPipe, err := mine(census.Rel, l.P.CensusTerr, l.P.CensusLHS)
 	if err != nil {
 		return nil, fmt.Errorf("table2 censusdb pipeline: %w", err)
 	}
 	out.CensusN = census.Rel.Size()
-	out.CensusAIMQSuper = censusPipe.SuperTupleTime
-	out.CensusAIMQSim = censusPipe.SimilarityTime
+	out.CensusAIMQSuper = censusPipe.Stage("supertuple")
+	out.CensusAIMQSim = censusPipe.Stage("simest")
 
 	out.RockSampleCensus = l.P.RockCensusSample
 	censusRock, err := rock.Cluster(census.Rel, rock.Config{

@@ -204,7 +204,7 @@ type LearnStats struct {
 	PartitionCacheHits int     `json:"partition_cache_hits"`
 	PeakPartitionBytes int     `json:"peak_partition_bytes"`
 	MineWorkers        int     `json:"mine_workers"` // level-shard goroutines (1 = serial)
-	Stages             []Span  `json:"stages"`       // probe, sample, mine, order, supertuple, simest
+	Stages             []Span  `json:"stages"`       // probe, sample, mine, order, supertuple, simest, snapshot
 	TotalMs            float64 `json:"total_ms"`
 }
 

@@ -13,6 +13,7 @@ package probe
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -304,6 +305,22 @@ func PivotCoverage(src webdb.Source, seedLimit int) ([]PivotInfo, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DistinctInSeed < out[j].DistinctInSeed })
 	return out, nil
+}
+
+// PickPivot chooses the probing pivot the offline phase and the drift
+// monitor use: the lowest-cardinality attribute that still shows at least
+// two distinct values in a seed probe.
+func PickPivot(src webdb.Source) (string, error) {
+	infos, err := PivotCoverage(src, 2000)
+	if err != nil {
+		return "", fmt.Errorf("probe: pivot discovery failed: %w", err)
+	}
+	for _, info := range infos {
+		if info.DistinctInSeed >= 2 {
+			return info.Attr, nil
+		}
+	}
+	return "", errors.New("probe: no usable probing pivot (source empty?)")
 }
 
 // PivotInfo describes one candidate pivot attribute.

@@ -116,7 +116,7 @@ func TestCollectErrors(t *testing.T) {
 
 func TestCollectFlakySource(t *testing.T) {
 	rel := bigRel(1000, 12)
-	flaky := &webdb.Flaky{Src: webdb.NewLocal(rel), FailEvery: 4}
+	flaky := webdb.NewChaos(webdb.NewLocal(rel), webdb.ChaosConfig{FailEvery: 4})
 	c := New(flaky, rand.New(rand.NewSource(13)))
 	c.SeedProbeLimit = 1000
 	// Zero tolerance: must surface the injected failure.
@@ -124,7 +124,7 @@ func TestCollectFlakySource(t *testing.T) {
 		t.Errorf("intolerant collector error = %v", err)
 	}
 	// With tolerance it completes, possibly with fewer tuples.
-	flaky2 := &webdb.Flaky{Src: webdb.NewLocal(rel), FailEvery: 4}
+	flaky2 := webdb.NewChaos(webdb.NewLocal(rel), webdb.ChaosConfig{FailEvery: 4})
 	c2 := New(flaky2, rand.New(rand.NewSource(14)))
 	c2.SeedProbeLimit = 1000
 	c2.MaxFailures = 10
@@ -170,7 +170,7 @@ func TestPivotCoverage(t *testing.T) {
 }
 
 func TestPivotCoverageSourceError(t *testing.T) {
-	flaky := &webdb.Flaky{Src: webdb.NewLocal(bigRel(10, 18)), FailEvery: 1}
+	flaky := webdb.NewChaos(webdb.NewLocal(bigRel(10, 18)), webdb.ChaosConfig{FailEvery: 1})
 	if _, err := PivotCoverage(flaky, 10); err == nil {
 		t.Errorf("PivotCoverage swallowed source error")
 	}
@@ -208,10 +208,11 @@ func TestParallelCollectMatchesSequential(t *testing.T) {
 
 func TestParallelCollectFlaky(t *testing.T) {
 	rel := bigRel(2000, 43)
-	// ProbeCounter is concurrency-safe; Flaky is not, so parallel flaky
-	// probing uses FailProb-free deterministic wrapping per worker — here
-	// just verify the failure tolerance accounting under parallelism with
-	// an always-failing source.
+	// Under parallel probing a FailEvery cadence would fail whichever
+	// spanning query the scheduler issues n-th, so verify the failure
+	// tolerance accounting with a source that answers the seed probe and
+	// fails every spanning query: the outcome is independent of
+	// interleaving.
 	c := New(&failingSource{sc: rel.Schema()}, rand.New(rand.NewSource(44)))
 	c.SeedProbeLimit = 10
 	c.Parallelism = 4
@@ -298,6 +299,44 @@ func TestParallelCollectDeterministicAcrossWorkerCounts(t *testing.T) {
 					t.Fatalf("workers=%d: tuple %d differs from sequential collect", workers, i)
 				}
 			}
+		}
+	}
+}
+
+func TestPickPivot(t *testing.T) {
+	// rows builds n tuples whose Make cycles over makes, Year over 5 values
+	// and Price is unique; Model is always constant.
+	rows := func(n int, makes ...string) *relation.Relation {
+		r := relation.New(carSchema())
+		for i := 0; i < n; i++ {
+			r.Append(relation.Tuple{
+				relation.Cat(makes[i%len(makes)]), relation.Cat("Camry"),
+				relation.Numv(float64(2000 + i%5)), relation.Numv(float64(i)),
+			})
+		}
+		return r
+	}
+	constant := relation.New(carSchema())
+	for i := 0; i < 10; i++ {
+		constant.Append(relation.Tuple{
+			relation.Cat("Toyota"), relation.Cat("Camry"), relation.Numv(2000), relation.Numv(9000),
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		rel  *relation.Relation
+		want string // "" = error
+	}{
+		{"empty source", relation.New(carSchema()), ""},
+		{"all-constant seed", constant, ""},
+		{"lowest cardinality >= 2", rows(100, "Toyota", "Honda", "Ford"), "Make"},
+	} {
+		got, err := PickPivot(webdb.NewLocal(tc.rel))
+		switch {
+		case tc.want == "" && err == nil:
+			t.Errorf("%s: picked %q, want an error", tc.name, got)
+		case tc.want != "" && (err != nil || got != tc.want):
+			t.Errorf("%s: PickPivot = %q, %v; want %q", tc.name, got, err, tc.want)
 		}
 	}
 }
