@@ -1,6 +1,8 @@
 # Tier-1 checks plus the race-checked serving path.
 #
 #   make check       — everything CI runs
+#   make perfbench   — vet and test the nested perfbench module, which
+#                      compiles against the serving packages
 #   make race        — race-check the concurrent packages (service, core,
 #                      webdb, engine's columnar worker pool, similarity's
 #                      chunked pair sweep, probe's parallel spanning
@@ -21,9 +23,9 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X aimq/internal/version.Version=$(VERSION)
 
-.PHONY: check vet build test race bench-serve bench-learn bench-engine bench bench-quick bench-check baseline
+.PHONY: check vet build test race perfbench bench-serve bench-learn bench-engine bench bench-quick bench-check baseline
 
-check: vet build test race
+check: vet build test race perfbench
 
 vet:
 	$(GO) vet ./...
@@ -45,6 +47,9 @@ test:
 # probes together with the sharded mine and supertuple build.
 race:
 	$(GO) test -race ./internal/service/... ./internal/core/... ./internal/webdb/... ./internal/obs/... ./internal/engine/... ./internal/similarity/... ./internal/audit/... ./internal/drift/... ./internal/lifecycle/... ./internal/tane/... ./internal/partition/... ./internal/learn/... ./internal/probe/...
+
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench-serve:
 	$(GO) test -run XXX -bench 'BenchmarkService_' -benchmem ./internal/service/

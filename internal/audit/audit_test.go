@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aimq/internal/core"
 )
 
 func event(i int, answers int) *Event {
@@ -416,5 +418,30 @@ func TestReplayCountsErrors(t *testing.T) {
 	}
 	if len(rep.Diffs) != 1 || rep.Diffs[0].Err == "" {
 		t.Errorf("diffs = %+v", rep.Diffs)
+	}
+}
+
+// TestEngineConfigRoundTrip: an audit header's engine block converts back to
+// the core.Config it was recorded from, failure policy included.
+func TestEngineConfigRoundTrip(t *testing.T) {
+	for _, c := range []core.Config{
+		{},
+		{K: 10, Tsim: 0.5, OnFailure: core.FailDegrade},
+		{
+			K: 7, Tsim: 0.6, BaseLimit: 3, PerQueryLimit: 50, TargetRelevant: 20,
+			MaxQueriesPerBase: 60, DisablePruning: true, KeyPruneMaxError: 0.05,
+			OnFailure: core.FailAbort,
+		},
+	} {
+		ec := EngineConfigOf(c)
+		if got := ec.CoreConfig(); got != c {
+			t.Errorf("EngineConfigOf(%+v).CoreConfig() = %+v", c, got)
+		}
+		if back := EngineConfigOf(ec.CoreConfig()); back != ec {
+			t.Errorf("EngineConfig %+v round-tripped to %+v", ec, back)
+		}
+	}
+	if !EngineConfigOf(core.Config{OnFailure: core.FailDegrade}).FailDegrade {
+		t.Error("FailDegrade not recorded")
 	}
 }

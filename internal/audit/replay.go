@@ -71,9 +71,25 @@ type EngineTarget struct {
 	Timeout time.Duration
 }
 
+// EngineConfigOf records the replay-relevant subset of c for an audit
+// header; CoreConfig is its inverse.
+func EngineConfigOf(c core.Config) EngineConfig {
+	return EngineConfig{
+		K:                 c.K,
+		Tsim:              c.Tsim,
+		BaseLimit:         c.BaseLimit,
+		PerQueryLimit:     c.PerQueryLimit,
+		TargetRelevant:    c.TargetRelevant,
+		MaxQueriesPerBase: c.MaxQueriesPerBase,
+		DisablePruning:    c.DisablePruning,
+		KeyPruneMaxError:  c.KeyPruneMaxError,
+		FailDegrade:       c.OnFailure == core.FailDegrade,
+	}
+}
+
 // CoreConfig converts the header's engine block back to a core.Config.
 func (ec EngineConfig) CoreConfig() core.Config {
-	return core.Config{
+	c := core.Config{
 		K:                 ec.K,
 		Tsim:              ec.Tsim,
 		BaseLimit:         ec.BaseLimit,
@@ -83,6 +99,10 @@ func (ec EngineConfig) CoreConfig() core.Config {
 		DisablePruning:    ec.DisablePruning,
 		KeyPruneMaxError:  ec.KeyPruneMaxError,
 	}
+	if ec.FailDegrade {
+		c.OnFailure = core.FailDegrade
+	}
+	return c
 }
 
 // Answer implements Target.

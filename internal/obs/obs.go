@@ -122,7 +122,6 @@ type EnginePlanTerm struct {
 type EngineExec struct {
 	Empty    bool `json:"empty,omitempty"`     // plan short-circuited (dict miss, null binding, …)
 	FullScan bool `json:"full_scan,omitempty"` // empty conjunction: every tuple matches
-	Legacy   bool `json:"legacy,omitempty"`    // legacy row engine: no columnar counters
 
 	Plan []EnginePlanTerm `json:"plan,omitempty"`
 

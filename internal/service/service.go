@@ -650,10 +650,10 @@ func (s *Service) bounds(req *answerRequest) (int, float64, error) {
 // partial payload (when the engine salvaged any answers) together with the
 // error; partial payloads are never cached.
 //
-// The run is traced whenever the trace ring is enabled or the client asked
-// for an explanation; the finished trace feeds the ring, the per-stage
-// histograms and the slow-query log, and — for explain requests — rides on
-// the payload itself.
+// Every run is traced; the finished trace feeds the per-stage histograms,
+// the quality metrics, the slow-query log and the flight recorder, lands in
+// the ring when head-sampled (or explained), and — for explain requests —
+// rides on the payload itself.
 func (s *Service) compute(ctx context.Context, q *query.Query, k int, tsim float64, traceID string, explain bool) (*answerPayload, error) {
 	return s.computeWith(ctx, s.currentPack(), q, k, tsim, traceID, explain)
 }
@@ -665,65 +665,58 @@ func (s *Service) computeWith(ctx context.Context, pack *enginePack, q *query.Qu
 	cfg := s.cfg.Engine
 	cfg.K = k
 	cfg.Tsim = tsim
-	var rec *obs.Recorder
-	sampled := s.ring != nil && s.sampleHit()
-	// An audit writer forces the recorder too: every audited computation
-	// then carries a trace ID and relaxation-depth provenance.
-	if explain || sampled || s.fdr != nil || s.audit != nil {
-		if traceID == "" {
-			traceID = obs.NewRequestID()
-		}
-		// The recorder adopts the caller's traceparent when one arrived, so
-		// this run — and every source probe it issues — joins the caller's
-		// distributed trace.
-		rec = obs.NewRecorderWith(traceID, q.String(), callerTrace(ctx))
-		ctx = obs.WithRecorder(ctx, rec)
+	// Every computed answer is recorded: the stage histograms, quality
+	// metrics, slow-query log, flight recorder and audit log all read the
+	// trace. Head sampling only decides whether the ring retains it.
+	if traceID == "" {
+		traceID = obs.NewRequestID()
 	}
+	// The recorder adopts the caller's traceparent when one arrived, so this
+	// run — and every source probe it issues — joins the caller's
+	// distributed trace.
+	rec := obs.NewRecorderWith(traceID, q.String(), callerTrace(ctx))
+	ctx = obs.WithRecorder(ctx, rec)
 	eng := core.New(s.src, pack.est, pack.relaxer, cfg)
 	res, err := eng.AnswerContext(ctx, q)
 	if res != nil {
 		s.met.relaxQueries.Add(int64(res.Work.QueriesIssued))
 		s.met.tuplesRead.Add(int64(res.Work.TuplesExtracted))
 	}
-	var tr *obs.Trace
-	if rec != nil {
-		t := rec.Finish()
-		tr = &t
-		if explain || sampled {
-			s.ring.Add(t)
-		}
-		// The flight recorder sees every traced run; it retains only the
-		// tail-latency breaches (nil-safe no-op when disabled).
-		s.fdr.Offer(t)
-		s.met.observeQuality(&t)
-		for name, d := range rec.SpanDurations() {
-			s.met.stages.Observe(name, d.Seconds())
-		}
-		s.met.stages.Observe("total", t.ElapsedMs/1000)
-		if s.cfg.SlowQuery > 0 && t.ElapsedMs >= float64(s.cfg.SlowQuery)/1e6 {
-			s.met.slowQueries.Add(1)
-			s.log.Warn("slow query",
-				"request_id", t.ID, "query", t.Query, "elapsed_ms", t.ElapsedMs,
-				"relax_steps", len(t.Steps), "base_count", t.BaseCount,
-				"answers", len(t.Answers), "error", t.Err)
-		}
+	t := rec.Finish()
+	if explain || (s.ring != nil && s.sampleHit()) {
+		s.ring.Add(t)
+	}
+	// The flight recorder sees every run; it retains only the tail-latency
+	// breaches (nil-safe no-op when disabled).
+	s.fdr.Offer(t)
+	s.met.observeQuality(&t)
+	for name, d := range rec.SpanDurations() {
+		s.met.stages.Observe(name, d.Seconds())
+	}
+	s.met.stages.Observe("total", t.ElapsedMs/1000)
+	if s.cfg.SlowQuery > 0 && t.ElapsedMs >= float64(s.cfg.SlowQuery)/1e6 {
+		s.met.slowQueries.Add(1)
+		s.log.Warn("slow query",
+			"request_id", t.ID, "query", t.Query, "elapsed_ms", t.ElapsedMs,
+			"relax_steps", len(t.Steps), "base_count", t.BaseCount,
+			"answers", len(t.Answers), "error", t.Err)
 	}
 	if err != nil {
 		if res != nil && len(res.Answers) > 0 {
 			p := s.payload(q, res, k, tsim)
 			if explain {
-				p.Explain = tr
+				p.Explain = &t
 			}
-			s.auditRecord(pack, q, p, tr, k, tsim, explain, true)
+			s.auditRecord(pack, q, p, &t, k, tsim, explain, true)
 			return p, err
 		}
 		return nil, err
 	}
 	p := s.payload(q, res, k, tsim)
 	if explain {
-		p.Explain = tr
+		p.Explain = &t
 	}
-	s.auditRecord(pack, q, p, tr, k, tsim, explain, false)
+	s.auditRecord(pack, q, p, &t, k, tsim, explain, false)
 	s.notifyAnswer(pack, p)
 	return p, nil
 }

@@ -111,8 +111,7 @@ func (s *Service) handleDrift(w http.ResponseWriter, _ *http.Request) {
 // auditRecord emits one wide event for a computed answer. Called from
 // compute() only — cache hits never reach it, so the zero-alloc warm path
 // stays untouched with audit enabled. p carries the rendered rows (exactly
-// the strings the HTTP response serves); tr is non-nil whenever auditing is
-// on, because an audit writer forces the recorder.
+// the strings the HTTP response serves); tr is the run's trace.
 func (s *Service) auditRecord(pack *enginePack, q *query.Query, p *answerPayload, tr *obs.Trace, k int, tsim float64, explain, partial bool) {
 	if s.audit == nil || p == nil {
 		return
@@ -133,19 +132,17 @@ func (s *Service) auditRecord(pack *enginePack, q *query.Query, p *answerPayload
 		// a swap mid-computation must not mislabel the event.
 		ev.ModelFingerprint = pack.info.Fingerprint
 	}
-	if tr != nil {
-		ev.TraceID = tr.TraceID
-		if ev.TraceID == "" {
-			ev.TraceID = tr.ID
-		}
-		ev.LatencyMs = tr.ElapsedMs
-		ev.RelaxSteps = len(tr.Steps)
-		for _, a := range tr.Answers {
-			if !a.FromBase && len(a.Steps) > 0 {
-				if si := a.Steps[0]; si >= 0 && si < len(tr.Steps) {
-					if d := len(tr.Steps[si].Dropped); d > ev.RelaxDepthMax {
-						ev.RelaxDepthMax = d
-					}
+	ev.TraceID = tr.TraceID
+	if ev.TraceID == "" {
+		ev.TraceID = tr.ID
+	}
+	ev.LatencyMs = tr.ElapsedMs
+	ev.RelaxSteps = len(tr.Steps)
+	for _, a := range tr.Answers {
+		if !a.FromBase && len(a.Steps) > 0 {
+			if si := a.Steps[0]; si >= 0 && si < len(tr.Steps) {
+				if d := len(tr.Steps[si].Dropped); d > ev.RelaxDepthMax {
+					ev.RelaxDepthMax = d
 				}
 			}
 		}

@@ -351,3 +351,36 @@ func sampleValue(body, name string) (float64, bool) {
 	}
 	return 0, false
 }
+
+// TestMetricsIgnoreHeadSampling: head sampling and a disabled ring thin
+// only the trace ring. The slow-query counter and the stage histograms see
+// every computed answer.
+func TestMetricsIgnoreHeadSampling(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"sampled", Config{SlowQuery: time.Nanosecond, TraceSample: 3}},
+		{"ring-off", Config{SlowQuery: time.Nanosecond, TraceRing: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := newService(t, testDB(600, 3), nil, tc.cfg)
+			for _, m := range []string{"Camry", "Corolla", "Accord", "Civic", "F150", "Focus"} {
+				if code, out := do(t, svc, "GET", "/answer?q=Model+like+"+m, ""); code != http.StatusOK {
+					t.Fatalf("status %d: %v", code, out)
+				}
+			}
+			w := httptest.NewRecorder()
+			svc.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+			body := w.Body.String()
+			for _, want := range []string{
+				"aimq_service_slow_queries_total 6\n",
+				`aimq_service_stage_seconds_count{stage="total"} 6` + "\n",
+			} {
+				if !strings.Contains(body, want) {
+					t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+				}
+			}
+		})
+	}
+}

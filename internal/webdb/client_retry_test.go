@@ -36,14 +36,24 @@ func toyotaQuery(c *Client) *query.Query {
 	return query.New(c.Schema()).Where("Make", query.OpEq, relation.Cat("Toyota"))
 }
 
+// fastRetry is a RetryPolicy with microsecond backoff, so retry tests do
+// not sleep unless a Retry-After demands it.
+func fastRetry(attempts int) ResilientConfig {
+	return ResilientConfig{Retry: RetryPolicy{
+		MaxAttempts: attempts, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond,
+	}}
+}
+
+// The Client makes one attempt per request; these tests drive it through
+// Resilient, which owns retries.
+
 func TestClientRetries5xx(t *testing.T) {
 	srv, calls := flakyQueryServer(t, http.StatusServiceUnavailable, 2, "")
 	c, err := NewClient(srv.URL, srv.Client())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Retry = &RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond}
-	got, err := c.Query(toyotaQuery(c), 0)
+	got, err := NewResilient(c, fastRetry(3)).Query(toyotaQuery(c), 0)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("Query through 2×503 = %d tuples, %v; want success on the third attempt", len(got), err)
 	}
@@ -53,14 +63,18 @@ func TestClientRetries5xx(t *testing.T) {
 }
 
 func TestClientRetries429WithRetryAfter(t *testing.T) {
-	srv, calls := flakyQueryServer(t, http.StatusTooManyRequests, 1, "0")
+	srv, calls := flakyQueryServer(t, http.StatusTooManyRequests, 1, "1")
 	c, err := NewClient(srv.URL, srv.Client())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Retries = 1 // legacy knob routes through the shared policy
-	if got, err := c.Query(toyotaQuery(c), 0); err != nil || len(got) != 2 {
+	start := time.Now()
+	if got, err := NewResilient(c, fastRetry(2)).Query(toyotaQuery(c), 0); err != nil || len(got) != 2 {
 		t.Fatalf("Query through one 429 = %d tuples, %v", len(got), err)
+	}
+	// The 10µs backoff cap would retry at once; Retry-After floors the wait.
+	if waited := time.Since(start); waited < time.Second {
+		t.Errorf("retried after %v, want at least the 1s Retry-After", waited)
 	}
 	if n := calls.Load(); n != 2 {
 		t.Errorf("query requests = %d, want 2", n)
@@ -73,8 +87,7 @@ func TestClientTerminal4xxNotRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Retries = 3
-	_, err = c.Query(toyotaQuery(c), 0)
+	_, err = NewResilient(c, fastRetry(4)).Query(toyotaQuery(c), 0)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("err = %v, want a 400 StatusError", err)
@@ -90,7 +103,7 @@ func TestStatusErrorSurfacesRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Query(toyotaQuery(c), 0) // Retries 0: single attempt
+	_, err = c.Query(toyotaQuery(c), 0) // the client makes a single attempt
 	var se *StatusError
 	if !errors.As(err, &se) || se.RetryAfter != 7*time.Second {
 		t.Fatalf("err = %v, want StatusError carrying Retry-After 7s", err)

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"aimq/internal/query"
@@ -184,18 +185,16 @@ func TestClientAgainstDeadServer(t *testing.T) {
 func TestClientRetries(t *testing.T) {
 	inner := httptest.NewServer(NewServer(NewLocal(testRel())))
 	defer inner.Close()
-	// A proxy that fails the first attempt of every second request.
-	fails := 0
+	// A proxy that drops every odd-numbered request's connection.
+	var requests atomic.Int64
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if fails == 0 {
-			fails++
+		if requests.Add(1)%2 == 1 {
 			conn, _, err := w.(http.Hijacker).Hijack()
 			if err == nil {
 				conn.Close() // abrupt transport failure
 			}
 			return
 		}
-		fails = 0
 		resp, err := inner.Client().Get(inner.URL + r.URL.String())
 		if err != nil {
 			w.WriteHeader(http.StatusBadGateway)
@@ -221,14 +220,18 @@ func TestClientRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.base = proxy.URL
-	c.http = proxy.Client()
-	c.Retries = 0
-	if _, err := c.Query(query.New(c.Schema()), 1); err == nil {
-		t.Fatalf("flaky proxy did not fail without retries")
+	// Fresh connections only: net/http silently re-sends an idempotent
+	// request whose reused connection drops, which would hide the failure.
+	c.http = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	res := NewResilient(c, fastRetry(3))
+	if _, err := res.Query(query.New(c.Schema()), 1); err != nil {
+		t.Fatalf("retrying client failed: %v", err)
 	}
-	c.Retries = 2
-	if _, err := c.Query(query.New(c.Schema()), 1); err != nil {
-		t.Errorf("retrying client failed: %v", err)
+	if n := res.Stats().Retries; n != 1 {
+		t.Errorf("retries = %d, want 1 (first attempt dropped)", n)
+	}
+	if _, err := c.Query(query.New(c.Schema()), 1); err == nil {
+		t.Errorf("flaky proxy did not fail without retries")
 	}
 }
 
